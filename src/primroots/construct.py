@@ -20,11 +20,21 @@ from typing import Iterator
 
 from .errors import DomainError, RootSetTooLargeError
 from .modarith import euler_phi, factorize, gcd, is_prime, mod_inverse, pow_mod
-from .orders import classify_modulus, is_primitive_root
+from .orders import (
+    _classify_with_roots,
+    classify_modulus,
+    count_primitive_roots,
+    is_primitive_root,
+)
 
 # primitive_roots() refuses to materialize more roots than this unless told
 # otherwise; the streaming iterator has no such limit.
 DEFAULT_ROOT_LIMIT = 10_000_000
+
+# The streaming iterator tests candidate roots of p one by one up to
+# p // _SCAN_SHARE, then takes the rest from powers of the least root: testing
+# is cheap for a short prefix, powers are cheaper per root for the whole set.
+_SCAN_SHARE = 64
 
 
 @dataclass(frozen=True)
@@ -124,32 +134,35 @@ def from_generator(g: int, n: int) -> PrimitiveRootSet:
     return PrimitiveRootSet(n, tuple(sorted(roots)))
 
 
+def _prime_roots(p: int) -> Iterator[int]:
+    # The primitive roots of the odd prime p, ascending, found only as far as
+    # the consumer pulls (see _SCAN_SHARE for the hand-over).
+    exponents = [(p - 1) // q for q, _ in factorize(p - 1)]
+    bound = p // _SCAN_SHARE
+    least = None
+    g = 1
+    while least is None or g < bound:
+        g += 1
+        if all(pow(g, e, p) != 1 for e in exponents):
+            least = least or g
+            yield g
+    for root in from_generator(least, p).roots:
+        if root > g:
+            yield root
+
+
 def smallest_primitive_root(p: int) -> int:
     """The least primitive root of a prime p."""
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p == 2:
         return 1
-    phi = p - 1
-    prime_divisors = [q for q, _ in factorize(phi)]
-    for g in range(2, p):
-        if all(pow_mod(g, phi // q, p) != 1 for q in prime_divisors):
-            return g
-    raise AssertionError(f"no primitive root below {p}; {p} cannot be prime")
-
-
-def _no_roots_error(n: int) -> DomainError:
-    shape = " * ".join(
-        f"{p}^{e}" if e > 1 else str(p) for p, e in factorize(n)
-    )
-    return DomainError(f"{n} = {shape} has no primitive roots")
+    return next(_prime_roots(p))
 
 
 def check_root_count(n: int, max_roots: int | None = DEFAULT_ROOT_LIMIT) -> int:
     """Number of primitive roots of n, refusing moduli with none or too many."""
-    if not classify_modulus(n).has_primitive_roots():
-        raise _no_roots_error(n)
-    count = euler_phi(euler_phi(n))
+    count = count_primitive_roots(n)
     if max_roots is not None and count > max_roots:
         raise RootSetTooLargeError(n, count, max_roots)
     return count
@@ -234,11 +247,10 @@ def iter_primitive_roots(n: int) -> Iterator[int]:
     Streaming form of primitive_roots: per base root of the underlying
     prime (ascending), lift choices are walked depth-first with t ascending,
     so nothing beyond the prime's own root set is ever materialized and no
-    size limit applies.
+    size limit applies.  The roots of the prime are found lazily, so a
+    prefix of the stream costs little even for a prime of many digits.
     """
-    cls = classify_modulus(n)
-    if not cls.has_primitive_roots():
-        raise _no_roots_error(n)
+    cls = _classify_with_roots(n)
     if cls.kind == "one":
         yield 1
         return
@@ -250,8 +262,7 @@ def iter_primitive_roots(n: int) -> Iterator[int]:
         return
     p, k = cls.p, cls.k
     pk = p ** k
-    base = from_generator(smallest_primitive_root(p), p).roots
-    for g in base:
+    for g in _prime_roots(p):
         for root in _chains(g, p, k):
             if cls.kind == "twice_odd_prime_power" and root % 2 == 0:
                 yield root + pk

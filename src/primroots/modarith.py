@@ -13,8 +13,9 @@ import random
 from .errors import DomainError, NotInvertibleError
 
 # Trial division handles every prime factor up to this bound; Pollard's rho
-# takes over for whatever cofactor is left.
-_TRIAL_LIMIT = 1_000_000
+# takes over for whatever cofactor is left.  Rho finds a factor q in about
+# sqrt(q) steps, so past this bound it is the cheaper of the two.
+_TRIAL_LIMIT = 1_000
 
 # Thresholds under which the listed Miller-Rabin bases are a proven primality
 # certificate.  Inputs beyond the table fall back to the final base set plus
@@ -122,9 +123,10 @@ def _pollard_rho(n: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
+                # The sign of x - y does not change any gcd with n.
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r *= 2
@@ -132,54 +134,90 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 
 
-def _factor_into(n: int, counts: dict[int, int]) -> None:
-    # n > 1 with no prime factor in the range trial division has covered.
-    if is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
-        return
-    d = _pollard_rho(n)
-    _factor_into(d, counts)
-    _factor_into(n // d, counts)
+def _iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n, by integer Newton iteration."""
+    if n < 2 or k == 1:
+        return n
+    x = 1 << ((n.bit_length() + k - 1) // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as (prime, exponent) pairs, primes ascending.
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, e) with n = r**e and e as large as possible, for n > _TRIAL_LIMIT
+    with no prime factor up to _TRIAL_LIMIT.
 
-    factorize(1) is the empty list.  Trial division runs up to 10**6; larger
-    cofactors are split by Pollard's rho with Miller-Rabin certification.
+    Such an r exceeds _TRIAL_LIMIT, which bounds the exponents worth trying.
     """
-    if n < 1:
-        raise DomainError(f"factorization needs n >= 1, got {n}")
+    e = 2
+    while True:
+        r = _iroot(n, e)
+        if r <= _TRIAL_LIMIT:
+            return n, 1
+        if r ** e == n:
+            root, inner = _perfect_power(r)
+            return root, e * inner
+        e += 1
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """The prime factors of n >= 1 up to _TRIAL_LIMIT, and the cofactor left.
+
+    The cofactor is 1, a prime, or a number with no prime factor up to
+    _TRIAL_LIMIT.
+    """
     counts: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
             counts[p] = counts.get(p, 0) + 1
             n //= p
     d = 5
-    # Past the small primes, probe the cofactor's primality now and then so
-    # an already-prime remainder does not drag the wheel all the way up.
-    next_probe = 1_009
     while d <= _TRIAL_LIMIT and d * d <= n:
-        if d >= next_probe:
-            if is_prime(n):
-                break
-            next_probe = d * 8
-        stripped = False
         for p in (d, d + 2):
             while n % p == 0:
                 counts[p] = counts.get(p, 0) + 1
                 n //= p
-                stripped = True
-        if stripped and d > 1_000:
-            next_probe = d
         d += 6
-    if n > 1:
-        _factor_into(n, counts)
+    return counts, n
+
+
+def _factor_into(n: int, counts: dict[int, int], mult: int = 1) -> None:
+    # Adds mult times the factorization of n > 1, whose prime factors all
+    # exceed _TRIAL_LIMIT.  Perfect powers are split by root extraction:
+    # Pollard's rho on p**e would need about sqrt(p) steps.
+    if is_prime(n):
+        counts[n] = counts.get(n, 0) + mult
+        return
+    r, e = _perfect_power(n)
+    if e > 1:
+        _factor_into(r, counts, mult * e)
+        return
+    d = _pollard_rho(n)
+    _factor_into(d, counts, mult)
+    _factor_into(n // d, counts, mult)
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as (prime, exponent) pairs, primes ascending.
+
+    factorize(1) is the empty list.  Trial division runs up to 10**3.  A
+    larger cofactor that is a perfect power is replaced by its root; the
+    rest are split by Pollard's rho (Brent's variant), and every prime is
+    certified by Miller-Rabin.
+    """
+    if n < 1:
+        raise DomainError(f"factorization needs n >= 1, got {n}")
+    counts, rest = _trial_divide(n)
+    if rest > 1:
+        _factor_into(rest, counts)
     return sorted(counts.items())
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .modarith import euler_phi, factorize, gcd, is_prime, pow_mod
+from .modarith import _iroot, _trial_divide, factorize, gcd, is_prime, pow_mod
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,6 @@ class ModulusClass:
             doc["p"] = str(self.p)
             doc["k"] = self.k
         return doc
-
-
-def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n, by integer Newton iteration."""
-    if n < 2 or k == 1:
-        return n
-    x = 1 << ((n.bit_length() + k - 1) // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
 
 
 def _as_odd_prime_power(m: int) -> tuple[int, int] | None:
@@ -80,6 +68,41 @@ def classify_modulus(n: int) -> ModulusClass:
     return ModulusClass("no_primitive_roots")
 
 
+def _classify_with_roots(n: int) -> ModulusClass:
+    """The classification of n, raising DomainError when n has no primitive roots.
+
+    The message names only the factors trial division finds and shows any
+    cofactor left as it is, so a refusal never waits on Pollard's rho.
+    """
+    cls = classify_modulus(n)
+    if cls.has_primitive_roots():
+        return cls
+    counts, rest = _trial_divide(n)
+    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(counts.items())]
+    if rest > 1 and parts:
+        parts.append(str(rest))
+    shape = f" = {' * '.join(parts)}" if parts else ""
+    raise DomainError(f"{n}{shape} has no primitive roots (classified as {cls.kind!r})")
+
+
+def _phi_and_primes(n: int, cls: ModulusClass) -> tuple[int, list[int]]:
+    """phi(n) and the primes dividing it, ascending, for n >= 1 classified as cls.
+
+    For p**k and 2*p**k, phi is p**(k-1) * (p-1), so only p - 1 is
+    factored and p joins its primes when k >= 2.  Other moduli are factored
+    whole, and then only p - 1 for each of their primes p.
+    """
+    fact = [(cls.p, cls.k)] if cls.p is not None else factorize(n)
+    phi = 1
+    primes: set[int] = set()
+    for p, e in fact:
+        phi *= (p - 1) * p ** (e - 1)
+        primes.update(q for q, _ in factorize(p - 1))
+        if e > 1:
+            primes.add(p)
+    return phi, sorted(primes)
+
+
 def order(a: int, n: int) -> int:
     """The least m >= 1 with a**m = 1 mod n, for a coprime to n.
 
@@ -95,8 +118,8 @@ def order(a: int, n: int) -> int:
     g = gcd(a, n)
     if g != 1:
         raise DomainError(f"order undefined: gcd({a}, {n}) = {g} != 1")
-    t = euler_phi(n)
-    for q, _ in factorize(t):
+    t, primes = _phi_and_primes(n, classify_modulus(n))
+    for q in primes:
         while t % q == 0 and pow_mod(a, t // q, n) == 1:
             t //= q
     return t
@@ -106,7 +129,10 @@ def is_primitive_root(a: int, n: int) -> bool:
     """True when a generates the units mod n, i.e. its order is phi(n).
 
     Non-coprime a yields False rather than an error, so the predicate can
-    filter whole residue ranges.
+    filter whole residue ranges; so does a modulus without primitive roots.
+    For p**k and 2*p**k with k >= 3 the test runs mod p**2 or 2*p**2: past
+    k = 2 the lift is exception-free, so a generates mod p**k exactly when
+    it generates mod p**2.
     """
     if n < 1:
         raise DomainError(f"modulus must be >= 1, got {n}")
@@ -115,15 +141,19 @@ def is_primitive_root(a: int, n: int) -> bool:
     a %= n
     if gcd(a, n) != 1:
         return False
-    phi = euler_phi(n)
-    return all(pow_mod(a, phi // q, n) != 1 for q, _ in factorize(phi))
+    cls = classify_modulus(n)
+    if not cls.has_primitive_roots():
+        return False
+    if cls.k is not None and cls.k > 2:
+        n //= cls.p ** (cls.k - 2)
+        cls = ModulusClass(cls.kind, cls.p, 2)
+    phi, primes = _phi_and_primes(n, cls)
+    return all(pow_mod(a, phi // q, n) != 1 for q in primes)
 
 
 def count_primitive_roots(n: int) -> int:
     """phi(phi(n)), the number of primitive roots of n when it has any."""
-    cls = classify_modulus(n)
-    if not cls.has_primitive_roots():
-        raise DomainError(
-            f"{n} has no primitive roots (classified as {cls.kind!r})"
-        )
-    return euler_phi(euler_phi(n))
+    phi, primes = _phi_and_primes(n, _classify_with_roots(n))
+    for q in primes:
+        phi = phi // q * (q - 1)
+    return phi

@@ -136,6 +136,18 @@ def test_factorize_reassembles_large(n):
     assert value == n
 
 
+def test_factorize_strips_perfect_powers():
+    # Pollard rho on p**e needs about sqrt(p) steps; root extraction none.
+    p = 10**20 + 39
+    assert factorize(p**2) == [(p, 2)]
+    assert factorize(p**6) == [(p, 6)]
+    assert factorize(2**5 * 7**3 * p**4) == [(2, 5), (7, 3), (p, 4)]
+    r, s = 1_000_003, 1_000_033
+    assert factorize((r * s) ** 3) == [(r, 3), (s, 3)]
+    assert factorize(r**2 * s**3) == [(r, 2), (s, 3)]
+    assert euler_phi(p**3) == p**2 * (p - 1)
+
+
 def test_euler_phi_examples():
     assert euler_phi(9) == 6
     assert euler_phi(81) == 54
